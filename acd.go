@@ -201,15 +201,15 @@ func Deduplicate(records []Record, crowdFn CrowdFunc, opts Options) (*Result, er
 			Seed:         opts.Seed,
 		})
 	}
-	source := &progressSource{inner: inner, onProgress: opts.OnProgress}
 
-	out := core.ACD(cands, source, core.Config{
+	out := core.ACD(cands, inner, core.Config{
 		Epsilon:        opts.Epsilon,
 		RefineX:        opts.RefineX,
 		SkipRefinement: opts.SkipRefinement,
 		Seed:           opts.Seed,
 		Obs:            rec,
 		Ctx:            opts.Context,
+		OnProgress:     opts.OnProgress,
 	})
 	if out.Err != nil {
 		return nil, fmt.Errorf("acd: campaign aborted: %w", out.Err)
@@ -259,92 +259,4 @@ func orDefault(v, def int) int {
 		return def
 	}
 	return v
-}
-
-// progressSource wraps the run's crowd source (the plain crowdFn
-// adapter or a marketplace), counting batches so OnProgress fires once
-// per crowd iteration and forwarding every optional source interface —
-// billing, vote counts, and recorder plumbing — to the wrapped source.
-type progressSource struct {
-	inner      crowd.Source
-	onProgress func(pairsAsked, iterations int)
-	asked      int
-	iterations int
-}
-
-func (s *progressSource) Score(p record.Pair) float64 { return s.inner.Score(p) }
-
-func (s *progressSource) Config() crowd.Config { return s.inner.Config() }
-
-// ScoreBatch implements crowd.BatchSource: each call is one crowd
-// iteration.
-func (s *progressSource) ScoreBatch(pairs []record.Pair) []float64 {
-	var out []float64
-	if b, ok := s.inner.(crowd.BatchSource); ok {
-		out = b.ScoreBatch(pairs)
-	} else {
-		out = make([]float64, len(pairs))
-		for i, p := range pairs {
-			out[i] = s.inner.Score(p)
-		}
-	}
-	s.progress(len(pairs))
-	return out
-}
-
-// ScoreBatchCtx implements crowd.ContextBatchSource when the inner
-// source is cancellable; otherwise it degrades to ScoreBatch.
-func (s *progressSource) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
-	cb, ok := s.inner.(crowd.ContextBatchSource)
-	if !ok {
-		return s.ScoreBatch(pairs), nil
-	}
-	out, err := cb.ScoreBatchCtx(ctx, pairs)
-	if err != nil {
-		return nil, err
-	}
-	s.progress(len(pairs))
-	return out, nil
-}
-
-func (s *progressSource) progress(n int) {
-	s.asked += n
-	s.iterations++
-	if s.onProgress != nil {
-		s.onProgress(s.asked, s.iterations)
-	}
-}
-
-// Bill implements crowd.Biller by forwarding to the inner source, so a
-// marketplace's real spend reaches the session's accounting.
-func (s *progressSource) Bill() (hits, cents int, ok bool) {
-	if b, ok := s.inner.(crowd.Biller); ok {
-		return b.Bill()
-	}
-	return 0, 0, false
-}
-
-// VoteCount implements crowd.VoteCounter by forwarding to the inner
-// source; without one, the uniform worker count applies.
-func (s *progressSource) VoteCount(p record.Pair) int {
-	if v, ok := s.inner.(crowd.VoteCounter); ok {
-		return v.VoteCount(p)
-	}
-	return s.inner.Config().Workers
-}
-
-// SetRecorder implements crowd.RecorderSetter, pushing the session's
-// recorder down into the wrapped source.
-func (s *progressSource) SetRecorder(rec *obs.Recorder) {
-	if rs, ok := s.inner.(crowd.RecorderSetter); ok {
-		rs.SetRecorder(rec)
-	}
-}
-
-// Recorder implements crowd.RecorderCarrier.
-func (s *progressSource) Recorder() *obs.Recorder {
-	if rc, ok := s.inner.(crowd.RecorderCarrier); ok {
-		return rc.Recorder()
-	}
-	return nil
 }

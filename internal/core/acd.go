@@ -8,6 +8,7 @@ import (
 	"acd/internal/crowd"
 	"acd/internal/obs"
 	"acd/internal/pruning"
+	"acd/internal/record"
 	"acd/internal/refine"
 )
 
@@ -36,6 +37,9 @@ type Config struct {
 	// breaks out of its iteration loop mid-batch, and Output.Err
 	// reports the cancellation. Nil means the run cannot be cancelled.
 	Ctx context.Context
+	// OnProgress, when set, is called after every crowd iteration with
+	// the run's distinct pairs asked and iterations so far.
+	OnProgress func(pairsAsked, iterations int)
 }
 
 // Output is the result of a full ACD run.
@@ -74,6 +78,12 @@ func ACD(cands *pruning.Candidates, answers crowd.Source, cfg Config) Output {
 	}
 	if cfg.Ctx != nil {
 		sess.Bind(cfg.Ctx)
+	}
+	if cfg.OnProgress != nil {
+		sess.Observe(func([]record.Pair, []float64) {
+			st := sess.Stats()
+			cfg.OnProgress(st.Pairs, st.Iterations)
+		})
 	}
 	rec := sess.Recorder()
 	rng := rand.New(rand.NewSource(cfg.Seed))

@@ -20,8 +20,8 @@ import (
 // receives cfg.Workers votes; pairs whose margin is ≤ 1 are escalated to
 // maxWorkers votes (maxWorkers must be odd and ≥ cfg.Workers). The
 // returned AnswerSet records each pair's final score and vote count;
-// Session accounting picks the vote counts up through the VoteCount
-// method.
+// Session accounting picks the vote counts up through the answer set's
+// AnswerBatch bills.
 func BuildAdaptiveAnswers(pairs []record.Pair, truth func(record.Pair) bool, difficulty func(record.Pair) float64, cfg Config, maxWorkers int) *AnswerSet {
 	if cfg.Workers <= 0 || cfg.Workers%2 == 0 {
 		panic(fmt.Sprintf("crowd: Workers must be odd and positive, got %d", cfg.Workers))

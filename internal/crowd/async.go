@@ -9,9 +9,10 @@ import (
 
 // BatchSource is an optional extension of Source for crowds that can
 // answer many pairs concurrently. Session.Ask resolves each batch
-// through ScoreBatch when available, so a live platform's per-answer
-// latency is paid once per crowd iteration instead of once per pair —
-// which is the entire point of the paper's batched algorithms.
+// through ScoreBatch when the source has no BatchAnswerer call, so a
+// live platform's per-answer latency is paid once per crowd iteration
+// instead of once per pair — which is the entire point of the paper's
+// batched algorithms.
 type BatchSource interface {
 	Source
 	// ScoreBatch returns f_c for each pair, in order.
@@ -20,7 +21,7 @@ type BatchSource interface {
 
 // AsyncSource adapts a blocking per-pair answer function (e.g. an HTTP
 // call to a crowdsourcing platform that waits for worker consensus) into
-// a BatchSource with bounded fan-out.
+// a BatchAnswerer with bounded fan-out.
 type AsyncSource struct {
 	// Fn answers one pair; it may block for however long the crowd
 	// takes. It must be safe for concurrent use.
@@ -37,24 +38,18 @@ func (s AsyncSource) Score(p record.Pair) float64 { return s.Fn(p) }
 // Config implements Source.
 func (s AsyncSource) Config() Config { return s.Setting }
 
-// ScoreBatch implements BatchSource: it answers all pairs with at most
-// Concurrency calls in flight and returns scores in input order.
-func (s AsyncSource) ScoreBatch(pairs []record.Pair) []float64 {
-	out, _ := s.ScoreBatchCtx(context.Background(), pairs)
-	return out
-}
-
-// ScoreBatchCtx implements ContextBatchSource: a fixed pool of
-// Concurrency workers drains the batch (rather than one goroutine per
-// pair), preserving input order in the output. When ctx is cancelled
-// the feed stops, in-flight calls finish, the pool exits without
-// leaking goroutines, and ctx's error is returned.
-func (s AsyncSource) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
+// AnswerBatch implements BatchAnswerer: a fixed pool of Concurrency
+// workers drains the batch (rather than one goroutine per pair),
+// preserving input order in the output, billed at the Config() rate.
+// When ctx is cancelled the feed stops, in-flight calls finish, the
+// pool exits without leaking goroutines, and ctx's error is returned.
+func (s AsyncSource) AnswerBatch(ctx context.Context, pairs []record.Pair) ([]float64, Bill, error) {
 	limit := s.Concurrency
 	if limit < 1 {
 		limit = 8
 	}
-	return scorePool(ctx, pairs, limit, s.Fn)
+	out, err := scorePool(ctx, pairs, limit, s.Fn)
+	return out, Bill{Votes: len(pairs) * s.Setting.Workers}, err
 }
 
 // scorePool fans a batch out over a fixed pool of `limit` workers

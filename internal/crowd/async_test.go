@@ -17,7 +17,7 @@ func TestAsyncSourceOrderPreserved(t *testing.T) {
 		Setting:     ThreeWorker(0),
 	}
 	pairs := adaptivePairs(100)
-	scores := src.ScoreBatch(pairs)
+	scores, _, _ := src.AnswerBatch(context.Background(), pairs)
 	for i, p := range pairs {
 		if scores[i] != float64(p.Lo)/1000 {
 			t.Fatalf("score %d out of order", i)
@@ -43,7 +43,7 @@ func TestAsyncSourceBoundedConcurrency(t *testing.T) {
 		Concurrency: 3,
 		Setting:     ThreeWorker(0),
 	}
-	src.ScoreBatch(adaptivePairs(30))
+	src.AnswerBatch(context.Background(), adaptivePairs(30))
 	if p := atomic.LoadInt64(&peak); p > 3 {
 		t.Errorf("peak concurrency %d exceeds limit 3", p)
 	}
@@ -54,7 +54,7 @@ func TestAsyncSourceBoundedConcurrency(t *testing.T) {
 
 func TestAsyncSourceDefaultConcurrency(t *testing.T) {
 	src := AsyncSource{Fn: func(p record.Pair) float64 { return 0.5 }}
-	scores := src.ScoreBatch(adaptivePairs(20))
+	scores, _, _ := src.AnswerBatch(context.Background(), adaptivePairs(20))
 	if len(scores) != 20 {
 		t.Fatalf("got %d scores", len(scores))
 	}
@@ -119,7 +119,7 @@ func TestAsyncSourceScoreBatchCtxCancel(t *testing.T) {
 		Concurrency: 4,
 		Setting:     ThreeWorker(0),
 	}
-	out, err := src.ScoreBatchCtx(ctx, adaptivePairs(500))
+	out, _, err := src.AnswerBatch(ctx, adaptivePairs(500))
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -12,14 +12,14 @@ import (
 
 // ChaosSource is a seeded, fully deterministic fault injector layered
 // over any Source — the test substrate of the fault-tolerance layer. It
-// implements FaultSource: every TryScore outcome (latency draw, spike,
+// implements faultSource: every TryScore outcome (latency draw, spike,
 // drop, transient error, duplicate delivery) is a pure function of
 // (Seed, pair, attempt), so the same configuration replays the same
 // faults regardless of wall-clock time, and nothing ever sleeps —
 // latency is reported, not incurred. Adversarial worker bursts are the
 // one order-dependent ingredient: they key off a global question
 // counter, which is still deterministic on the sequential simulation
-// path ReliableSource uses for FaultSources.
+// path ReliableSource uses for faultSources.
 //
 // The oracle-accounting invariant survives chaos by construction: the
 // wrapped source is consulted exactly once per pair, on the pair's
@@ -142,13 +142,13 @@ func (c *ChaosSource) Score(p record.Pair) float64 {
 	return fc
 }
 
-// ScoreChecked implements CheckedSource without panicking on
+// ScoreChecked implements checkedSource without panicking on
 // non-candidates.
 func (c *ChaosSource) ScoreChecked(p record.Pair) (float64, error) {
 	return c.answer(p)
 }
 
-// TryScore implements FaultSource: one deterministic attempt at p.
+// TryScore implements faultSource: one deterministic attempt at p.
 func (c *ChaosSource) TryScore(p record.Pair, attempt int) (float64, time.Duration, error) {
 	c.mu.Lock()
 	idx := c.calls

@@ -195,7 +195,21 @@ func (a *AnswerSet) Score(p record.Pair) float64 {
 	return fc
 }
 
-// ScoreChecked implements CheckedSource: it is Score without the panic,
+// AnswerBatch implements BatchAnswerer: Score for every pair, billed
+// with each pair's own vote count (adaptive allocation escalates
+// narrow votes) at the Config() rate. Answers are immediate, so ctx is
+// not consulted.
+func (a *AnswerSet) AnswerBatch(_ context.Context, pairs []record.Pair) ([]float64, Bill, error) {
+	scores := make([]float64, len(pairs))
+	var bill Bill
+	for i, p := range pairs {
+		scores[i] = a.Score(p)
+		bill.Votes += a.VoteCount(p)
+	}
+	return scores, bill, nil
+}
+
+// ScoreChecked implements checkedSource: it is Score without the panic,
 // for the fault-tolerant path. Asking about a pair outside the candidate
 // set returns ErrNotCandidate (and does not count an oracle invocation);
 // the algorithms only ever issue candidates, so ReliableSource turns the
@@ -251,16 +265,10 @@ type Stats struct {
 	HITs int
 	// Cents is HITs × CentsPerHIT.
 	Cents int
-	// Votes is the total number of worker votes collected, when the
-	// source tracks them (the VoteCounter interface); with fixed
-	// allocation it equals Pairs × Workers.
+	// Votes is the total number of worker votes collected, as the
+	// source's bills report them; with fixed allocation it equals
+	// Pairs × Workers.
 	Votes int
-}
-
-// VoteCounter is implemented by sources that know how many worker votes
-// each pair consumed (the adaptive allocation of BuildAdaptiveAnswers).
-type VoteCounter interface {
-	VoteCount(p record.Pair) int
 }
 
 // Source is anything that can produce a crowd score for a candidate
@@ -278,21 +286,69 @@ type Source interface {
 	Config() Config
 }
 
-// Biller is implemented by sources that do their own HIT and cost
-// accounting — the marketplace packs each batch into per-backend HITs
-// with per-backend prices, so the session's uniform Config()-derived
-// math (ceil(fresh/PairsPerHIT) × CentsPerHIT) would be wrong for it.
-// After resolving a batch the session drains the bill and books it
-// verbatim into Stats and the crowd/hits and crowd/cents metrics.
-// Wrappers that delegate Score to an inner source (the incremental
-// engine's sink, the progress adapter) should forward Bill to the inner
-// source so billing survives wrapping.
-type Biller interface {
-	// Bill returns the HITs posted and cents spent since the last call
-	// and resets both. ok=false means the source has no billing
-	// information for the interval and the caller must fall back to
-	// Config()-derived accounting.
-	Bill() (hits, cents int, ok bool)
+// Bill is what one batch of questions cost.
+type Bill struct {
+	// Votes is the number of worker votes the batch consumed.
+	Votes int
+	// HITs and Cents are the tasks posted and the money spent.
+	HITs  int
+	Cents int
+	// Billed marks a source that keeps its own bill (the marketplace
+	// packs per-backend HITs at per-backend prices). When false, HITs
+	// and Cents are ignored and the batch is charged at the Config()
+	// rate: ceil(pairs/PairsPerHIT) HITs at CentsPerHIT each.
+	Billed bool
+}
+
+// BatchAnswerer is the optional batch call of a Source: one crowd
+// iteration answered under a context, together with what it cost.
+// Session.Ask prefers it over ScoreBatch and Score (see AnswerBatch).
+type BatchAnswerer interface {
+	Source
+	// AnswerBatch returns f_c for each pair, in order, and the batch's
+	// bill. When ctx is cancelled it stops early with ctx's error and
+	// nil scores; the bill then still reports what was spent.
+	AnswerBatch(ctx context.Context, pairs []record.Pair) ([]float64, Bill, error)
+}
+
+// AnswerBatch asks src one batch of questions through its most capable
+// path: the BatchAnswerer call, else ScoreBatch, else Score per pair
+// (checking ctx between pairs). An unbilled batch is charged at the
+// Config() rate, and sources without the batch call are charged
+// Config().Workers votes per pair. On error the scores are nil and the
+// bill holds only what the source reports spent. A nil ctx never
+// cancels.
+func AnswerBatch(ctx context.Context, src Source, pairs []record.Pair) ([]float64, Bill, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var scores []float64
+	var bill Bill
+	switch s := src.(type) {
+	case BatchAnswerer:
+		var err error
+		if scores, bill, err = s.AnswerBatch(ctx, pairs); err != nil {
+			return nil, bill, err
+		}
+	case BatchSource:
+		scores = s.ScoreBatch(pairs)
+		bill.Votes = len(pairs) * src.Config().Workers
+	default:
+		scores = make([]float64, len(pairs))
+		for i, p := range pairs {
+			if err := ctx.Err(); err != nil {
+				return nil, Bill{}, err
+			}
+			scores[i] = src.Score(p)
+		}
+		bill.Votes = len(pairs) * src.Config().Workers
+	}
+	if !bill.Billed {
+		cfg := src.Config()
+		bill.HITs = (len(pairs) + cfg.PairsPerHIT - 1) / cfg.PairsPerHIT
+		bill.Cents = bill.HITs * cfg.CentsPerHIT
+	}
+	return scores, bill, nil
 }
 
 // SourceFunc adapts a function to the Source interface, for live-crowd
@@ -322,6 +378,7 @@ type Session struct {
 	rec     *obs.Recorder
 	ctx     context.Context // nil = never cancelled
 	err     error           // sticky: set once the campaign is aborted
+	observe func(pairs []record.Pair, scores []float64)
 }
 
 // NewSession starts an accounting session over a crowd source. If the
@@ -363,6 +420,13 @@ func (s *Session) Recorder() *obs.Recorder { return s.rec }
 // cancellation — so the crowd iteration loops observe one failed batch
 // and stop cleanly mid-campaign. A nil ctx detaches.
 func (s *Session) Bind(ctx context.Context) { s.ctx = ctx }
+
+// Observe installs fn as the session's observer: it is called once per
+// answered batch with the fresh pairs and their scores, after the
+// accounting is booked and before Ask returns — so an observer that
+// journals answers sees each one before any algorithm acts on it. A
+// failed batch is not observed. A nil fn removes the observer.
+func (s *Session) Observe(fn func(pairs []record.Pair, scores []float64)) { s.observe = fn }
 
 // Err reports why the campaign aborted (context cancellation or a batch
 // failure), or nil while the session is healthy. The crowd algorithms
@@ -409,66 +473,38 @@ func (s *Session) Ask(pairs []record.Pair) []float64 {
 	}
 
 	if len(fresh) > 0 {
-		// Resolve the whole batch at once when the source supports it
-		// (live crowds pay their latency once per iteration, not per
-		// pair). A bound context routes through the cancellable batch
-		// path; a batch that fails mid-flight aborts the campaign and
-		// charges nothing.
-		var scores []float64
-		if cbs, ok := s.answers.(ContextBatchSource); ok && s.ctx != nil {
-			got, err := cbs.ScoreBatchCtx(s.ctx, fresh)
-			if err != nil {
-				s.abort(err)
-				return make([]float64, len(pairs))
-			}
-			scores = got
-		} else if bs, ok := s.answers.(BatchSource); ok {
-			scores = bs.ScoreBatch(fresh)
-		} else {
-			scores = make([]float64, len(fresh))
-			for i, p := range fresh {
-				scores[i] = s.answers.Score(p)
-			}
+		// One crowd iteration: live crowds pay their latency once per
+		// batch, not per pair. A batch that fails mid-flight aborts the
+		// campaign; what it spent is still booked as HITs and cents, but
+		// no pair or iteration is charged.
+		scores, bill, err := AnswerBatch(s.ctx, s.answers, fresh)
+		s.stats.HITs += bill.HITs
+		s.stats.Cents += bill.Cents
+		s.rec.Count(MetricHITs, int64(bill.HITs))
+		s.rec.Count(MetricCents, int64(bill.Cents))
+		if err != nil {
+			s.abort(err)
+			return make([]float64, len(pairs))
 		}
-		vc, _ := s.answers.(VoteCounter)
-		votes := 0
 		for i, p := range fresh {
 			s.known[p] = scores[i]
 			s.order = append(s.order, p)
-			if vc != nil {
-				votes += vc.VoteCount(p)
-			} else {
-				votes += s.answers.Config().Workers
-			}
 		}
-		s.stats.Votes += votes
+		s.stats.Votes += bill.Votes
 		s.stats.Pairs += len(fresh)
 		s.stats.Iterations++
-		// A self-billing source (the marketplace) reports the HITs and
-		// cents this batch actually cost across its backends; everything
-		// else is billed at the uniform Config() rate.
-		hits, cents, billed := 0, 0, false
-		if b, ok := s.answers.(Biller); ok {
-			hits, cents, billed = b.Bill()
-		}
-		if !billed {
-			cfg := s.answers.Config()
-			hits = (len(fresh) + cfg.PairsPerHIT - 1) / cfg.PairsPerHIT
-			cents = hits * cfg.CentsPerHIT
-		}
-		s.stats.HITs += hits
-		s.stats.Cents += cents
 
 		s.rec.Count(MetricQuestionsAnswered, int64(len(fresh)))
 		s.rec.Count(MetricIterations, 1)
-		s.rec.Count(MetricHITs, int64(hits))
-		s.rec.Count(MetricCents, int64(cents))
-		s.rec.Count(MetricVotes, int64(votes))
+		s.rec.Count(MetricVotes, int64(bill.Votes))
 		s.rec.Observe(MetricBatchSize, float64(len(fresh)))
 		if s.rec.Tracing() {
 			s.rec.Trace("crowd.iteration", map[string]any{
-				"fresh": len(fresh), "hits": hits, "iteration": s.stats.Iterations,
+				"fresh": len(fresh), "hits": bill.HITs, "iteration": s.stats.Iterations,
 			})
+		}
+		if s.observe != nil {
+			s.observe(fresh, scores)
 		}
 	}
 	s.rec.Count(MetricQuestionsIssued, int64(len(pairs)))

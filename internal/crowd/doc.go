@@ -29,6 +29,15 @@
 // the simulation with AMT-style worker pools, admission rules, and
 // wall-clock latency estimates.
 //
+// A Source answers one pair and reports its Config; BatchSource adds
+// ScoreBatch, and the optional BatchAnswerer call answers a batch under
+// a context and returns its Bill (votes, plus HITs and cents when the
+// source keeps its own bill, as the marketplace does). AnswerBatch is
+// the one place that picks among these paths; Session.Ask and the
+// marketplace's HIT flush both go through it. Session.Observe is the
+// hook for watching answers as they arrive, so no wrapper source has to
+// forward capabilities it merely passes through.
+//
 // The fault-tolerant execution layer (faulttol.go) hardens any Source
 // against a misbehaving crowd backend: ReliableSource adds per-question
 // deadlines, bounded retries with jittered backoff, hedged re-issue of
@@ -36,8 +45,9 @@
 // the retry budget is exhausted. Its deterministic test substrate is
 // ChaosSource (chaos.go), a seeded fault injector (drops, transient
 // errors, latency spikes, duplicated deliveries, adversarial bursts)
-// that runs entirely on a VirtualClock (clock.go) — simulated latency
-// is arithmetic, never sleeps — so chaos campaigns replay exactly. See
-// DESIGN.md section 5d for the state machine and the determinism
-// argument.
+// whose single attempts (TryScore, a package-private contract with
+// ReliableSource) run entirely on a VirtualClock (clock.go) — simulated
+// latency is arithmetic, never sleeps — so chaos campaigns replay
+// exactly. See DESIGN.md section 5d for the state machine and the
+// determinism argument.
 package crowd

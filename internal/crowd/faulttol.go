@@ -39,24 +39,25 @@ var ErrTransient = errors.New("crowd: transient platform error")
 // falls back.
 var ErrNotCandidate = errors.New("crowd: pair was never posted (not a candidate)")
 
-// CheckedSource is implemented by sources that can answer a pair
+// checkedSource is implemented by sources that can answer a pair
 // without panicking on non-candidates. The fault-tolerant path prefers
 // it over Source.Score, which keeps AnswerSet's panic on out-of-set
 // pairs unreachable from ReliableSource.
-type CheckedSource interface {
+type checkedSource interface {
 	// ScoreChecked returns f_c for p, or an error (ErrNotCandidate for
 	// pairs outside the candidate set, ErrTransient for retryable
 	// platform failures).
 	ScoreChecked(p record.Pair) (float64, error)
 }
 
-// FaultSource is implemented by sources that expose single attempts
-// with explicit, simulated latency — the deterministic-simulation
-// substrate. TryScore never sleeps: it reports how long the attempt
-// *would* take, and ReliableSource advances its Clock by the resulting
-// completion time. Attempt indices make outcomes independent of call
-// order: attempt 2a is the a-th primary issue of p, 2a+1 its hedge.
-type FaultSource interface {
+// faultSource is implemented by sources that expose single attempts
+// with explicit, simulated latency — ChaosSource, the deterministic-
+// simulation substrate. TryScore never sleeps: it reports how long the
+// attempt *would* take, and ReliableSource advances its Clock by the
+// resulting completion time. Attempt indices make outcomes independent
+// of call order: attempt 2a is the a-th primary issue of p, 2a+1 its
+// hedge.
+type faultSource interface {
 	Source
 	// TryScore makes one attempt at answering p. It returns the score,
 	// the simulated latency until the outcome surfaces, and a non-nil
@@ -64,17 +65,6 @@ type FaultSource interface {
 	// "dropped" answer is modelled as a success with a latency beyond
 	// any reasonable deadline.
 	TryScore(p record.Pair, attempt int) (fc float64, latency time.Duration, err error)
-}
-
-// ContextBatchSource is the cancellable extension of BatchSource.
-// Session.Ask resolves batches through it when the session carries a
-// context, so a cancelled campaign stops mid-batch instead of draining
-// the remaining questions.
-type ContextBatchSource interface {
-	Source
-	// ScoreBatchCtx answers all pairs in order, stopping early with
-	// ctx's error when the context is cancelled.
-	ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error)
 }
 
 // Defaults for ReliableConfig's zero values.
@@ -130,8 +120,8 @@ type ReliableConfig struct {
 	// Seed drives the jitter RNG; equal seeds give equal backoff
 	// sequences.
 	Seed int64
-	// Concurrency bounds the worker pool ScoreBatchCtx uses on the
-	// live (non-FaultSource) path; values < 1 mean 8. The
+	// Concurrency bounds the worker pool AnswerBatch uses on the
+	// live (non-faultSource) path; values < 1 mean 8. The
 	// deterministic-simulation path is always sequential, which is
 	// what makes it reproducible.
 	Concurrency int
@@ -195,7 +185,7 @@ func (c ReliableConfig) withDefaults() ReliableConfig {
 //	        fallback to the machine probability f (graceful degradation)
 //
 // Every retry, hedge, timeout and fallback is counted on the attached
-// obs recorder. When the inner source implements FaultSource the whole
+// obs recorder. When the inner source implements faultSource the whole
 // machine runs in simulated time on the configured Clock — fully
 // deterministic, no sleeps; otherwise attempts run as goroutines
 // against the wall clock.
@@ -264,7 +254,7 @@ func (r *ReliableSource) ScoreCtx(ctx context.Context, p record.Pair) (float64, 
 		}
 		var fc float64
 		var err error
-		if fs, ok := r.inner.(FaultSource); ok {
+		if fs, ok := r.inner.(faultSource); ok {
 			fc, err = r.attemptSim(ctx, fs, p, attempt)
 		} else {
 			fc, err = r.attemptLive(ctx, p)
@@ -291,43 +281,36 @@ func (r *ReliableSource) ScoreCtx(ctx context.Context, p record.Pair) (float64, 
 	return 0, nil
 }
 
-// ScoreBatch implements BatchSource.
-func (r *ReliableSource) ScoreBatch(pairs []record.Pair) []float64 {
-	out, _ := r.ScoreBatchCtx(context.Background(), pairs)
-	return out
-}
-
-// ScoreBatchCtx implements ContextBatchSource. Over a FaultSource it
-// resolves pairs sequentially in simulated time (the deterministic
-// path); over a live source it fans out across a fixed pool of
-// Concurrency workers.
-func (r *ReliableSource) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if _, deterministic := r.inner.(FaultSource); deterministic || r.cfg.Concurrency == 1 {
+// AnswerBatch implements BatchAnswerer, billed at the Config() rate.
+// Over a faultSource it resolves pairs sequentially in simulated time
+// (the deterministic path); over a live source it fans out across a
+// fixed pool of Concurrency workers.
+func (r *ReliableSource) AnswerBatch(ctx context.Context, pairs []record.Pair) ([]float64, Bill, error) {
+	bill := Bill{Votes: len(pairs) * r.Config().Workers}
+	if _, deterministic := r.inner.(faultSource); deterministic || r.cfg.Concurrency == 1 {
 		out := make([]float64, len(pairs))
 		for i, p := range pairs {
 			fc, err := r.ScoreCtx(ctx, p)
 			if err != nil {
-				return nil, err
+				return nil, bill, err
 			}
 			out[i] = fc
 		}
-		return out, nil
+		return out, bill, nil
 	}
-	return scorePool(ctx, pairs, r.cfg.Concurrency, func(p record.Pair) float64 {
+	out, err := scorePool(ctx, pairs, r.cfg.Concurrency, func(p record.Pair) float64 {
 		fc, _ := r.ScoreCtx(ctx, p)
 		return fc
 	})
+	return out, bill, err
 }
 
 // attemptSim runs one deadline-bounded, hedged attempt in simulated
-// time: latencies are reported by the FaultSource, compared against the
+// time: latencies are reported by the faultSource, compared against the
 // hedge delay and the deadline arithmetically, and the Clock advances
 // by however long the client would have waited. Attempt a issues
 // TryScore index 2a; its hedge, 2a+1.
-func (r *ReliableSource) attemptSim(ctx context.Context, fs FaultSource, p record.Pair, a int) (float64, error) {
+func (r *ReliableSource) attemptSim(ctx context.Context, fs faultSource, p record.Pair, a int) (float64, error) {
 	timeout := r.cfg.Timeout
 	hedgeAt := r.hedgeDelay()
 
@@ -395,7 +378,7 @@ func (r *ReliableSource) attemptSim(ctx context.Context, fs FaultSource, p recor
 // attemptLive runs one deadline-bounded, hedged attempt against a live
 // source on the wall clock. Abandoned issues deliver into a buffered
 // channel and exit; a live adapter whose Score can block forever should
-// enforce its own internal timeout (or implement FaultSource).
+// enforce its own internal timeout.
 func (r *ReliableSource) attemptLive(ctx context.Context, p record.Pair) (float64, error) {
 	type res struct {
 		fc  float64
@@ -449,7 +432,7 @@ func (r *ReliableSource) attemptLive(ctx context.Context, p record.Pair) (float6
 // scoreOnce answers one pair through the panic-free path when the
 // source provides it.
 func scoreOnce(src Source, p record.Pair) (float64, error) {
-	if cs, ok := src.(CheckedSource); ok {
+	if cs, ok := src.(checkedSource); ok {
 		return cs.ScoreChecked(p)
 	}
 	return src.Score(p), nil

@@ -18,7 +18,7 @@ type tryOutcome struct {
 	err error
 }
 
-// scriptSource is a FaultSource test double: attempt outcomes are looked
+// scriptSource is a faultSource test double: attempt outcomes are looked
 // up in a per-(pair, attempt) script, defaulting to a 1-second success
 // with the pair's base answer. It counts attempts per pair.
 type scriptSource struct {
@@ -350,7 +350,7 @@ func TestReliableScoreBatchCtxStopsMidBatch(t *testing.T) {
 			}
 		},
 	}
-	out, err := NewReliable(wrapped, ReliableConfig{Timeout: 10 * time.Second, Clock: NewVirtualClock(time.Time{})}).ScoreBatchCtx(ctx, pairs)
+	out, _, err := NewReliable(wrapped, ReliableConfig{Timeout: 10 * time.Second, Clock: NewVirtualClock(time.Time{})}).AnswerBatch(ctx, pairs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -362,7 +362,7 @@ func TestReliableScoreBatchCtxStopsMidBatch(t *testing.T) {
 	}
 }
 
-// faultFunc decorates a FaultSource with a per-attempt hook, for
+// faultFunc decorates a faultSource with a per-attempt hook, for
 // cancellation-injection tests.
 type faultFunc struct {
 	src  *scriptSource
@@ -391,9 +391,9 @@ func TestReliableScoreBatchDeterministic(t *testing.T) {
 		return r, pairs
 	}
 	r1, pairs := build()
-	a, err1 := r1.ScoreBatchCtx(context.Background(), pairs)
+	a, _, err1 := r1.AnswerBatch(context.Background(), pairs)
 	r2, _ := build()
-	b, err2 := r2.ScoreBatchCtx(context.Background(), pairs)
+	b, _, err2 := r2.AnswerBatch(context.Background(), pairs)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("batch errors: %v, %v", err1, err2)
 	}
@@ -453,7 +453,7 @@ func TestAnswerSetScoreChecked(t *testing.T) {
 }
 
 func TestReliableLiveSourceRetries(t *testing.T) {
-	// A live (non-FaultSource) source failing once transiently: the wall
+	// A live (non-faultSource) source failing once transiently: the wall
 	// clock path retries and succeeds.
 	var calls int64
 	src := checkedFunc{
@@ -497,7 +497,7 @@ func TestReliableLiveSourceTimeoutFallsBack(t *testing.T) {
 	}
 }
 
-// checkedFunc is a minimal CheckedSource test double.
+// checkedFunc is a minimal checkedSource test double.
 type checkedFunc struct {
 	fn func(record.Pair) (float64, error)
 }

@@ -3,11 +3,14 @@ package incremental
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"reflect"
 	"strconv"
 	"testing"
+	"time"
 
+	"acd/internal/crowd"
 	"acd/internal/dataset"
 	"acd/internal/journal"
 	"acd/internal/obs"
@@ -166,6 +169,54 @@ func TestResolveCancelled(t *testing.T) {
 	}
 	if e.Round() != 1 {
 		t.Errorf("round = %d after recovery from cancellation", e.Round())
+	}
+}
+
+// TestResolveCancelledMidBatch cancels a resolve while its first crowd
+// batch is in flight: the cancellation must reach the source, so the
+// pass returns context.Canceled long before the batch would finish,
+// with no answer cached and the engine state untouched.
+func TestResolveCancelledMidBatch(t *testing.T) {
+	const perAnswer = 50 * time.Millisecond
+	src := crowd.AsyncSource{
+		Fn: func(record.Pair) float64 {
+			time.Sleep(perAnswer)
+			return 1
+		},
+		Concurrency: 1,
+		Setting:     crowd.ThreeWorker(1),
+	}
+	e, err := Open(Config{Seed: 1, Source: src}, journal.NewMemFS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	// Twenty near-identical records: the first pivot's batch asks its 19
+	// neighbours, nearly a second of answers.
+	recs := make([]Record, 20)
+	for i := range recs {
+		recs[i] = Record{Fields: map[string]string{"text": "golden dragon palace chinese broadway w" + strconv.Itoa(i)}}
+	}
+	if _, err := e.Add(recs...); err != nil {
+		t.Fatal(err)
+	}
+	pendingBefore := e.PendingPairs()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(75*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = e.Resolve(ctx)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Resolve err = %v, want context.Canceled", err)
+	}
+	if full := time.Duration(len(recs)-1) * perAnswer; elapsed > full/2 {
+		t.Errorf("cancelled resolve returned after %v; the first batch alone takes %v", elapsed, full)
+	}
+	if e.Round() != 0 || e.ResolvedUpTo() != 0 || e.PendingPairs() != pendingBefore || e.AnswerCount() != 0 {
+		t.Errorf("cancelled resolve mutated state: round %d upTo %d pending %d/%d answers %d",
+			e.Round(), e.ResolvedUpTo(), e.PendingPairs(), pendingBefore, e.AnswerCount())
 	}
 }
 

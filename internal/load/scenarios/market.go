@@ -12,12 +12,12 @@ import (
 	"acd/internal/serve"
 )
 
-// The marketplace scenarios drive /resolve against a heterogeneous
-// crowd fleet (internal/market) instead of a single simulated source:
+// The marketplace scenarios drive /resolve against a crowd fleet
+// (internal/market): degraded-crowd runs one faulty backend,
 // mixed-fleet measures budget-aware routing under a mid-run price
 // spike on the cheap backend, and backend-outage measures the fault
 // path when the router's preferred backend stops answering (every
-// question drops, forcing the retry/degrade machinery). Both fold the
+// question drops, forcing the retry/degrade machinery). All fold the
 // router's accounting — total and per-backend spend, routed and
 // inferred question counts — into the report's Extra metrics, which
 // flow into BENCH_N.json as Load/<scenario>/scenario.
@@ -57,9 +57,9 @@ func startMarketServer(o Options, name, spec string, spikes []market.Spike) (*se
 }
 
 // runMarketScenario is the shared body: boot a marketplace server, run
-// the resolve-heavy workload shape the degraded-crowd scenario uses
-// (the measurement of interest is the /resolve path, not ingest), then
-// fold the router's spend accounting into the report.
+// a resolve-heavy workload shape (the measurement of interest is the
+// /resolve path, not ingest), then fold the router's spend accounting
+// into the report.
 func runMarketScenario(o Options, name, spec string, spikes []market.Spike, shape func(*load.Config)) (*load.Report, error) {
 	o, err := o.withDefaults()
 	if err != nil {

@@ -128,7 +128,7 @@ func All() []Scenario {
 		},
 		{
 			Name: "degraded-crowd",
-			Desc: "resolves against a slow, faulty simulated crowd source",
+			Desc: "resolves against a one-backend crowd fleet with injected latency, drops and errors",
 			Run:  runDegradedCrowd,
 		},
 		{
@@ -175,30 +175,26 @@ func Find(name string) (Scenario, bool) {
 }
 
 // startServer boots a journaled in-process server for a scenario.
-func startServer(o Options, name string, src *serve.SimCrowdConfig) (*serve.Local, error) {
-	cfg := serve.Config{
+func startServer(o Options, name string) (*serve.Local, error) {
+	return serve.StartLocal(serve.Config{
 		Journal:      filepath.Join(o.Dir, name),
 		Shards:       o.Shards,
 		Seed:         o.Seed,
 		CommitWindow: o.CommitWindow,
 		RotateBytes:  o.RotateBytes,
 		Obs:          obs.New(),
-	}
-	if src != nil {
-		cfg.Source = serve.DegradedCrowd(*src)
-	}
-	return serve.StartLocal(cfg)
+	})
 }
 
 // runWorkload is the shared scenario body: boot a server, run one
 // generator configuration against it, close gracefully, label the
 // report.
-func runWorkload(o Options, name string, src *serve.SimCrowdConfig, shape func(*load.Config)) (*load.Report, error) {
+func runWorkload(o Options, name string, shape func(*load.Config)) (*load.Report, error) {
 	o, err := o.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	l, err := startServer(o, name, src)
+	l, err := startServer(o, name)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +233,7 @@ func runWorkload(o Options, name string, src *serve.SimCrowdConfig, shape func(*
 }
 
 func runBaseline(o Options) (*load.Report, error) {
-	return runWorkload(o, "baseline", nil, func(c *load.Config) {
+	return runWorkload(o, "baseline", func(c *load.Config) {
 		c.Concurrency = 8
 		c.ResolveEvery = 500 * time.Millisecond
 		if o.Smoke {
@@ -248,7 +244,7 @@ func runBaseline(o Options) (*load.Report, error) {
 }
 
 func runHighLoad(o Options) (*load.Report, error) {
-	return runWorkload(o, "high-load", nil, func(c *load.Config) {
+	return runWorkload(o, "high-load", func(c *load.Config) {
 		c.Mix = load.Mix{Records: 70, Answers: 20, Clusters: 8, Metrics: 2}
 		c.Concurrency = 32
 		c.RecordBatch = 16
@@ -259,7 +255,7 @@ func runHighLoad(o Options) (*load.Report, error) {
 }
 
 func runBursty(o Options) (*load.Report, error) {
-	return runWorkload(o, "bursty", nil, func(c *load.Config) {
+	return runWorkload(o, "bursty", func(c *load.Config) {
 		c.Arrival = load.ArrivalPoisson
 		c.Concurrency = 64
 		c.Rate = 300
@@ -272,7 +268,7 @@ func runBursty(o Options) (*load.Report, error) {
 }
 
 func runReadHeavy(o Options) (*load.Report, error) {
-	return runWorkload(o, "read-heavy", nil, func(c *load.Config) {
+	return runWorkload(o, "read-heavy", func(c *load.Config) {
 		c.Mix = load.Mix{Records: 8, Answers: 2, Clusters: 70, Metrics: 20}
 		c.Concurrency = 16
 		c.ResolveEvery = 300 * time.Millisecond
@@ -284,37 +280,22 @@ func runReadHeavy(o Options) (*load.Report, error) {
 }
 
 func runDegradedCrowd(o Options) (*load.Report, error) {
-	// Crowd fault rates stay constant across modes; only the latency
-	// scale shrinks for smoke. Resolve cost is roughly (pending pairs ×
-	// per-query latency), so the mix is ingest-light — the scenario
-	// measures how crowd degradation stretches /resolve and whether
-	// reads stay fast beside it, not raw ingest throughput.
-	// Resolve cost is close to (pending pairs × per-query crowd
-	// latency) — every churned duplicate densifies the candidate graph,
-	// so the mix here is ingest-light and resolves run frequently to
-	// keep each pass's pair backlog small. The measurement of interest
-	// is how much the faulty crowd stretches /resolve while snapshot
-	// reads stay flat.
-	crowd := &serve.SimCrowdConfig{
-		Seed:        o.Seed,
-		BaseLatency: 500 * time.Microsecond,
-		Spike:       0.05,
-		Drop:        0.05,
-		Error:       0.05,
-		Timeout:     10 * time.Millisecond,
-		Retries:     1,
-	}
+	// One crowd backend with real injected latency, drops and transient
+	// errors behind a tight deadline, one retry and the pseudo-crowd
+	// answer as fallback. Fault rates stay constant across modes; only
+	// the latency scale shrinks for smoke. A 25x latency spike would
+	// land past the deadline, where the client sees it as a drop, so
+	// spikes are folded into drop=. Resolve cost is close to (pending
+	// pairs x per-query crowd latency), so the marketplace scenarios'
+	// ingest-light, resolve-heavy mix applies: the measurement of
+	// interest is how much the faulty crowd stretches /resolve while
+	// snapshot reads stay flat.
+	spec := "crowd:2:20:0:lat=500us:drop=0.1:fault=0.05:timeout=10ms:workers=3"
 	if o.Smoke {
-		crowd.BaseLatency = 20 * time.Microsecond
-		crowd.Timeout = time.Millisecond
+		spec = "crowd:2:20:0:lat=20us:drop=0.1:fault=0.05:timeout=1ms:workers=3"
 	}
-	return runWorkload(o, "degraded-crowd", crowd, func(c *load.Config) {
-		c.Mix = load.Mix{Records: 10, Answers: 5, Clusters: 60, Metrics: 25}
-		c.Concurrency = 8
-		c.ResolveEvery = 400 * time.Millisecond
+	return runMarketScenario(o, "degraded-crowd", spec, nil, func(c *load.Config) {
 		if o.Smoke {
-			c.Concurrency = 4
-			c.ResolveEvery = 150 * time.Millisecond
 			c.Duration = 1200 * time.Millisecond
 		}
 	})

@@ -87,8 +87,8 @@ func TestBurstySmoke(t *testing.T) {
 	checkReport(t, rep, "bursty")
 }
 
-// TestDegradedCrowdSmoke exercises the simulated-crowd wiring: resolves
-// run against a slow faulty source and still complete.
+// TestDegradedCrowdSmoke exercises the one-backend faulty fleet:
+// resolves run against a slow faulty crowd and still complete.
 func TestDegradedCrowdSmoke(t *testing.T) {
 	rep, err := runDegradedCrowd(Options{Dir: t.TempDir(), Smoke: true})
 	if err != nil {

@@ -159,7 +159,9 @@ func (s BackendSpec) wrap(src crowd.Source, fallback func(record.Pair) float64, 
 	})
 	// Tight deadlines and backoff: these run inside load-scenario
 	// resolve handlers, where crowd-scale defaults would wedge the
-	// run (same sizing as serve.DegradedCrowd).
+	// run. Backoff scales with the timeout: the library default
+	// (200ms) is sized for a real crowd and would dwarf the latency
+	// being simulated.
 	timeout := 8 * max(s.Latency, 200*time.Microsecond)
 	if s.Timeout > 0 {
 		timeout = s.Timeout

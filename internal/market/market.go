@@ -14,10 +14,11 @@
 // first and later pairs are answered for free by transitive closure
 // ("The Expected Optimal Labeling Order Problem", CIKM 2013).
 //
-// A Market implements crowd.Source, crowd.BatchSource, and crowd.Biller,
-// so it slots into core.ACD, incremental.Config.Source, and
-// serve.Config.Source unchanged; the session books the HITs and cents
-// the marketplace actually spent rather than deriving them from a
+// A Market implements crowd.Source, crowd.BatchSource, and
+// crowd.BatchAnswerer, so it slots into core.ACD,
+// incremental.Config.Source, and serve.Config.Source unchanged; each
+// batch's bill carries the HITs and cents the marketplace actually
+// spent, which the session books rather than deriving them from a
 // uniform rate. A single-backend market with arrival ordering, no
 // short-circuiting, and an unlimited budget is a pure passthrough: it
 // consults its backend exactly once per fresh pair, in batch order, so
@@ -205,17 +206,15 @@ type Market struct {
 	backends []*backendState
 	rec      *obs.Recorder
 
-	mu           sync.Mutex
-	spent        int
-	pendingHITs  int // since the last Bill
-	pendingCents int
-	routed       int // questions routed (drives price spikes)
-	ledger       map[record.Pair]Charge
-	answered     map[record.Pair]float64 // every answer sold, for AnswerSet
-	parent       map[record.ID]record.ID // positive-closure union-find
-	rng          *rand.Rand
-	simLatency   time.Duration // accumulated per-batch HIT makespans
-	exhausted    bool          // a paid route was ever refused for budget
+	mu         sync.Mutex
+	spent      int
+	routed     int // questions routed (drives price spikes)
+	ledger     map[record.Pair]Charge
+	answered   map[record.Pair]float64 // every answer sold, for AnswerSet
+	parent     map[record.ID]record.ID // positive-closure union-find
+	rng        *rand.Rand
+	simLatency time.Duration // accumulated per-batch HIT makespans
+	exhausted  bool          // a paid route was ever refused for budget
 }
 
 // New builds a marketplace over the configured fleet. Backends with a
@@ -250,8 +249,8 @@ func New(cfg Config) *Market {
 
 // Config implements crowd.Source with a representative collection
 // setting: the first paid backend's price and worker count (HIT and
-// cents accounting never uses it — the market bills itself through
-// crowd.Biller — but vote defaults and latency models read it).
+// cents accounting never uses it — every batch carries the market's
+// own bill — but latency models read it).
 func (m *Market) Config() crowd.Config {
 	for _, b := range m.backends {
 		if !b.cfg.Machine {
@@ -281,17 +280,6 @@ func (m *Market) SetRecorder(rec *obs.Recorder) {
 
 // Recorder implements crowd.RecorderCarrier.
 func (m *Market) Recorder() *obs.Recorder { return m.rec }
-
-// Bill implements crowd.Biller: it drains the HITs and cents spent
-// since the last call, so the session books the marketplace's real
-// spend instead of a uniform rate.
-func (m *Market) Bill() (hits, cents int, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	hits, cents = m.pendingHITs, m.pendingCents
-	m.pendingHITs, m.pendingCents = 0, 0
-	return hits, cents, true
-}
 
 // Spent returns the total cents charged so far.
 func (m *Market) Spent() int {
@@ -335,56 +323,41 @@ func (m *Market) AnswerSet() *crowd.AnswerSet {
 	return a
 }
 
-// VoteCount implements crowd.VoteCounter: the worker count of the
-// backend that sold the pair's answer, zero for free answers.
-func (m *Market) VoteCount(p record.Pair) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.ledger[p]
-	if !ok {
-		return 0
-	}
-	for _, b := range m.backends {
-		if b.cfg.ID == c.Backend && !b.cfg.Machine {
-			return b.cfg.Workers
-		}
-	}
-	return 0
-}
-
 // Score implements crowd.Source (a one-question batch).
 func (m *Market) Score(p record.Pair) float64 {
 	return m.ScoreBatch([]record.Pair{p})[0]
 }
 
-// ScoreBatch implements crowd.BatchSource: it routes, packs, and
-// resolves a whole crowd iteration. Answers are returned aligned to the
-// input order regardless of how HIT packing reorders the work.
+// ScoreBatch implements crowd.BatchSource: AnswerBatch without
+// cancellation or the bill.
 func (m *Market) ScoreBatch(pairs []record.Pair) []float64 {
-	out, _ := m.scoreBatch(context.Background(), pairs)
+	out, _, _ := m.AnswerBatch(context.Background(), pairs)
 	return out
 }
 
-// ScoreBatchCtx implements crowd.ContextBatchSource: as ScoreBatch, but
-// a cancelled context stops the batch between questions. Whatever was
-// already charged stays charged — the spent prefix is real money.
-func (m *Market) ScoreBatchCtx(ctx context.Context, pairs []record.Pair) ([]float64, error) {
-	return m.scoreBatch(ctx, pairs)
-}
-
-func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64, error) {
+// AnswerBatch implements crowd.BatchAnswerer: it routes, packs, and
+// resolves a whole crowd iteration. Answers are returned aligned to the
+// input order regardless of how HIT packing reorders the work. The bill
+// holds the HITs and cents this batch opened and the worker votes of
+// the paid answers it sold. A cancelled context stops the batch between
+// questions or inside a HIT's backend call; the HITs it opened are
+// closed unanswered, and the bill still reports them — the spent prefix
+// is real money.
+func (m *Market) AnswerBatch(ctx context.Context, pairs []record.Pair) ([]float64, crowd.Bill, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
+	bill := crowd.Bill{Billed: true}
 	out := make([]float64, len(pairs))
 	priors := make([]float64, len(pairs))
 	for i, p := range pairs {
 		priors[i] = m.prior(p)
 	}
 	var makespan time.Duration
+	var err error
 	for _, i := range m.orderBatch(pairs, priors) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if err = ctx.Err(); err != nil {
+			break
 		}
 		p, prior := pairs[i], priors[i]
 
@@ -427,24 +400,26 @@ func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64
 			m.rec.Count(BackendMetric(b.cfg.ID, "questions"), 1)
 		default:
 			if len(b.buf) == 0 {
-				m.openHIT(b)
+				m.openHIT(b, &bill)
 			}
 			b.buf = append(b.buf, pendingQ{p: p, idx: i})
 			m.rec.Count(BackendMetric(b.cfg.ID, "questions"), 1)
 			if len(b.buf) >= b.cfg.PairsPerHIT {
-				if lat := m.flush(b, pairs, out); lat > makespan {
-					makespan = lat
-				}
+				err = m.flush(ctx, b, pairs, out, &bill, &makespan)
 			}
+		}
+		if err != nil {
+			break
 		}
 	}
-	// Batch over: flush the partial HITs (already charged at open).
+	// Batch over: flush the partial HITs (already charged at open). A
+	// failed batch closes them unanswered, so no question leaks into the
+	// next batch.
 	for _, b := range m.backends {
-		if len(b.buf) > 0 {
-			if lat := m.flush(b, pairs, out); lat > makespan {
-				makespan = lat
-			}
+		if len(b.buf) > 0 && err == nil {
+			err = m.flush(ctx, b, pairs, out, &bill, &makespan)
 		}
+		b.buf = b.buf[:0]
 	}
 	if makespan > 0 {
 		m.simLatency += makespan
@@ -453,7 +428,10 @@ func (m *Market) scoreBatch(ctx context.Context, pairs []record.Pair) ([]float64
 	if m.cfg.BudgetCents >= 0 {
 		m.rec.Gauge(MetricBudgetRemainingCents, float64(m.cfg.BudgetCents-m.spent))
 	}
-	return out, nil
+	if err != nil {
+		return nil, bill, err
+	}
+	return out, bill, nil
 }
 
 // prior returns the pre-purchase duplicate probability for a pair.
@@ -545,12 +523,13 @@ func (m *Market) effCents(b *backendState) int {
 	return c
 }
 
-// openHIT charges a new HIT on b at the current effective price.
-func (m *Market) openHIT(b *backendState) {
+// openHIT charges a new HIT on b at the current effective price to
+// the market and to the batch's bill.
+func (m *Market) openHIT(b *backendState, bill *crowd.Bill) {
 	b.openCents = m.effCents(b)
 	m.spent += b.openCents
-	m.pendingHITs++
-	m.pendingCents += b.openCents
+	bill.HITs++
+	bill.Cents += b.openCents
 	m.rec.Count(BackendMetric(b.cfg.ID, "hits"), 1)
 	m.rec.Count(BackendMetric(b.cfg.ID, "cents"), int64(b.openCents))
 	m.rec.Count(MetricSpendCents, int64(b.openCents))
@@ -559,26 +538,24 @@ func (m *Market) openHIT(b *backendState) {
 // flush consults b's source for every question in its open HIT,
 // records the answers into out (indexed by the caller's batch
 // positions), folds positives into the transitive closure, splits the
-// HIT's price across its occupants in the ledger, and draws the HIT's
-// simulated latency. A HIT is posted as a unit, so a source with a
-// batch path (ReliableSource's bounded worker pool) answers its pairs
-// concurrently — a faulty backend's retry deadlines then overlap
-// instead of stacking serially.
-func (m *Market) flush(b *backendState, pairs []record.Pair, out []float64) time.Duration {
-	perPair := float64(b.openCents) / float64(len(b.buf))
+// HIT's price across its occupants in the ledger, adds the answers'
+// votes to the bill, and stretches the batch makespan by the HIT's
+// simulated latency. A HIT is posted as a unit through
+// crowd.AnswerBatch, so a source with a batch path (ReliableSource's
+// bounded worker pool) answers its pairs concurrently — a faulty
+// backend's retry deadlines then overlap instead of stacking serially —
+// and ctx cancels the HIT mid-flight. On error nothing is recorded and
+// the caller closes the HIT.
+func (m *Market) flush(ctx context.Context, b *backendState, pairs []record.Pair, out []float64, bill *crowd.Bill, makespan *time.Duration) error {
 	qp := make([]record.Pair, len(b.buf))
 	for i, q := range b.buf {
 		qp[i] = q.p
 	}
-	var scores []float64
-	if bs, ok := b.cfg.Source.(crowd.BatchSource); ok {
-		scores = bs.ScoreBatch(qp)
-	} else {
-		scores = make([]float64, len(qp))
-		for i, p := range qp {
-			scores[i] = b.cfg.Source.Score(p)
-		}
+	scores, _, err := crowd.AnswerBatch(ctx, b.cfg.Source, qp)
+	if err != nil {
+		return err
 	}
+	perPair := float64(b.openCents) / float64(len(b.buf))
 	for i, q := range b.buf {
 		fc := scores[i]
 		out[q.idx] = fc
@@ -586,12 +563,14 @@ func (m *Market) flush(b *backendState, pairs []record.Pair, out []float64) time
 		m.union(q.p, fc)
 		m.ledger[q.p] = Charge{Backend: b.cfg.ID, Cents: perPair}
 	}
+	bill.Votes += len(b.buf) * b.cfg.Workers
 	b.buf = b.buf[:0]
 	lat := m.drawLatency(b.cfg.Latency)
 	if lat > 0 {
 		m.rec.Observe(BackendMetric(b.cfg.ID, "hit_latency_seconds"), lat.Seconds())
 	}
-	return lat
+	*makespan = max(*makespan, lat)
+	return nil
 }
 
 // drawLatency samples a log-normal latency around the backend's median.

@@ -2,6 +2,7 @@ package market
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -185,7 +186,10 @@ func TestMidBatchExhaustion(t *testing.T) {
 		Prior:       func(record.Pair) float64 { return 0.5 },
 	})
 	m.SetRecorder(rec)
-	m.ScoreBatch(pairs)
+	_, bill, err := m.AnswerBatch(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if m.Spent() != 4 {
 		t.Errorf("Spent() = %d, want the full 4-cent budget", m.Spent())
@@ -212,12 +216,8 @@ func TestMidBatchExhaustion(t *testing.T) {
 	if !m.Exhausted() {
 		t.Error("Exhausted() = false")
 	}
-	hits, cents, ok := m.Bill()
-	if !ok || hits != 2 || cents != 4 {
-		t.Errorf("Bill() = (%d, %d, %v), want (2, 4, true)", hits, cents, ok)
-	}
-	if hits, cents, _ := m.Bill(); hits != 0 || cents != 0 {
-		t.Errorf("second Bill() = (%d, %d), want drained", hits, cents)
+	if want := (crowd.Bill{Votes: 10, HITs: 2, Cents: 4, Billed: true}); bill != want {
+		t.Errorf("bill = %+v, want %+v", bill, want)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestInvariantSurvivesRouting(t *testing.T) {
 	}
 }
 
-// TestScoreBatchCtxCancel: a cancelled context stops the batch with the
+// TestScoreBatchCtxCancel: a cancelled context stops AnswerBatch with the
 // context's error and no further consults.
 func TestScoreBatchCtxCancel(t *testing.T) {
 	pairs := disjointPairs(5)
@@ -375,7 +375,7 @@ func TestScoreBatchCtxCancel(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := m.ScoreBatchCtx(ctx, pairs); err == nil {
+	if _, _, err := m.AnswerBatch(ctx, pairs); err == nil {
 		t.Fatal("cancelled batch returned nil error")
 	}
 	if m.Spent() != 0 {
@@ -383,8 +383,99 @@ func TestScoreBatchCtxCancel(t *testing.T) {
 	}
 }
 
-// TestVoteCountAndConfig: votes reflect the selling backend's worker
-// count, and Config() exposes the first paid backend's setting.
+// countdownCtx is a context whose Err starts reporting cancellation
+// after n healthy calls, which stops a batch at an exact question.
+type countdownCtx struct {
+	context.Context
+	n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestCancelledBatchClosesOpenHIT: a batch cancelled while a HIT holds
+// questions closes that HIT unanswered (it was charged at open), so the
+// next batch neither flushes stale questions into its own answers nor
+// records pairs its caller never asked.
+func TestCancelledBatchClosesOpenHIT(t *testing.T) {
+	pairs := disjointPairs(5)
+	m := New(Config{
+		Backends:    []Backend{{ID: "b", Source: fixedFor(pairs, 1), CentsPerHIT: 2, PairsPerHIT: 20, ErrorRate: 0.05}},
+		BudgetCents: Unlimited,
+		Prior:       func(record.Pair) float64 { return 0.5 },
+	})
+	// Two questions enter the open HIT, then the third finds the batch
+	// cancelled.
+	if _, bill, err := m.AnswerBatch(&countdownCtx{Context: context.Background(), n: 2}, pairs[:4]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	} else if bill.HITs != 1 || bill.Cents != 2 {
+		t.Errorf("cancelled batch bill = %+v, want the opened HIT (1 HIT, 2 cents)", bill)
+	}
+	if len(m.Ledger()) != 0 {
+		t.Errorf("cancelled batch sold %d answers, want none", len(m.Ledger()))
+	}
+	out, bill, err := m.AnswerBatch(context.Background(), pairs[4:])
+	if err != nil || len(out) != 1 || out[0] != 1 {
+		t.Fatalf("next batch = %v, %v, want [1]", out, err)
+	}
+	if bill.HITs != 1 || bill.Cents != 2 {
+		t.Errorf("next batch bill = %+v, want a fresh HIT", bill)
+	}
+	if l := m.Ledger(); len(l) != 1 || l[pairs[4]].Backend != "b" {
+		t.Errorf("ledger = %v, want only the asked pair %v", l, pairs[4])
+	}
+	if m.Spent() != 4 {
+		t.Errorf("Spent() = %d, want 4 (two HITs)", m.Spent())
+	}
+}
+
+// TestCancelledSessionBatchBooksSpend: a session batch cancelled inside
+// the marketplace books the HITs and cents the market already spent —
+// crowd/cents matches market/spend_cents at once, not in whichever
+// batch asks next — while no pair or iteration is charged.
+func TestCancelledSessionBatchBooksSpend(t *testing.T) {
+	pairs := disjointPairs(3)
+	answers := fixedFor(pairs, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The backend cancels the campaign while answering the first HIT,
+	// so the second question finds the batch cancelled.
+	src := crowd.SourceFunc{
+		Fn:      func(p record.Pair) float64 { cancel(); return answers.Score(p) },
+		Setting: crowd.ThreeWorker(1),
+	}
+	m := New(Config{
+		Backends:    []Backend{{ID: "b", Source: src, CentsPerHIT: 2, PairsPerHIT: 1, ErrorRate: 0.05}},
+		BudgetCents: Unlimited,
+		Prior:       func(record.Pair) float64 { return 0.5 },
+	})
+	rec := obs.New()
+	m.SetRecorder(rec)
+	sess := crowd.NewSession(m)
+	sess.Bind(ctx)
+	sess.Ask(pairs)
+	if !errors.Is(sess.Err(), context.Canceled) {
+		t.Fatalf("session Err = %v, want context.Canceled", sess.Err())
+	}
+	if got, want := rec.Counter(crowd.MetricCents), rec.Counter(MetricSpendCents); got != want || want != 2 {
+		t.Errorf("crowd/cents = %d, market/spend_cents = %d, want both 2", got, want)
+	}
+	st := sess.Stats()
+	if st.Pairs != 0 || st.Iterations != 0 {
+		t.Errorf("cancelled batch charged pairs %d, iterations %d, want 0, 0", st.Pairs, st.Iterations)
+	}
+	if st.HITs != 1 || st.Cents != 2 {
+		t.Errorf("stats HITs %d, cents %d, want 1, 2", st.HITs, st.Cents)
+	}
+}
+
+// TestVoteCountAndConfig: a batch's votes reflect the selling backend's
+// worker count, and Config() exposes the first paid backend's setting.
 func TestVoteCountAndConfig(t *testing.T) {
 	pairs := disjointPairs(2)
 	answers := fixedFor(pairs, 1)
@@ -394,17 +485,23 @@ func TestVoteCountAndConfig(t *testing.T) {
 			{ID: "paid", Source: answers, CentsPerHIT: 2, PairsPerHIT: 20, ErrorRate: 0.05, Workers: 5},
 		},
 		BudgetCents: Unlimited,
-		Prior:       func(record.Pair) float64 { return 0.5 },
+		// pairs[1]'s near-certain prior sends it to the free machine
+		// backend.
+		Prior: func(p record.Pair) float64 {
+			if p == pairs[1] {
+				return 0.999
+			}
+			return 0.5
+		},
 	})
 	if cfg := m.Config(); cfg.Workers != 5 || cfg.PairsPerHIT != 20 || cfg.CentsPerHIT != 2 {
 		t.Errorf("Config() = %+v, want the paid backend's setting", cfg)
 	}
-	m.ScoreBatch(pairs[:1])
-	if v := m.VoteCount(pairs[0]); v != 5 {
-		t.Errorf("VoteCount(paid pair) = %d, want 5", v)
+	if _, bill, _ := m.AnswerBatch(context.Background(), pairs[:1]); bill.Votes != 5 {
+		t.Errorf("votes for one paid pair = %d, want 5", bill.Votes)
 	}
-	if v := m.VoteCount(pairs[1]); v != 0 {
-		t.Errorf("VoteCount(unasked pair) = %d, want 0", v)
+	if _, bill, _ := m.AnswerBatch(context.Background(), pairs[1:]); bill.Votes != 0 || m.Ledger()[pairs[1]].Backend != "machine" {
+		t.Errorf("votes for one machine answer = %d (backend %q), want 0 from the machine", bill.Votes, m.Ledger()[pairs[1]].Backend)
 	}
 }
 

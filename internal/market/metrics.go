@@ -1,10 +1,11 @@
 package market
 
 // Metric names emitted by the marketplace. Spend is the first-class
-// counter here: crowd/cents (booked by the session through the Biller
-// hook) and market/spend_cents (booked at HIT-open time by the
-// marketplace) must agree on a completed run, and the per-backend
-// crowd/backend/<id>/* families break the same spend out by channel.
+// counter here: crowd/cents (booked by the session from each batch's
+// bill) and market/spend_cents (booked at HIT-open time by the
+// marketplace) agree after every session batch, cancelled ones
+// included, and the per-backend crowd/backend/<id>/* families break
+// the same spend out by channel.
 const (
 	// MetricSpendCents accumulates every cent the marketplace charged,
 	// across all backends — the first-class spend counter.

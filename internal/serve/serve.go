@@ -66,18 +66,16 @@ type Config struct {
 	// from a fresh recorder).
 	Obs *obs.Recorder
 	// Source answers residual crowd questions during /resolve. Nil
-	// falls back to machine similarity scores. DegradedCrowd builds a
-	// simulated source with injected latency and faults for the
-	// degraded-crowd load scenarios.
+	// falls back to machine similarity scores (or to Fleet when set).
 	Source crowd.Source
 	// Fleet is a marketplace fleet spec (internal/market.ParseFleet
 	// grammar: "id:centsPerHIT:pairsPerHIT:errorRate[:opt...]" entries
 	// joined by ';'). When non-empty and Source is nil, residual
 	// resolve questions route through a budget-aware marketplace over
 	// the specified backends, each answering from the same
-	// deterministic pseudo-crowd DegradedCrowd simulates; faulty
-	// backends ("drop=", "fault=" options) go through the chaos and
-	// retry machinery. Per-backend spend, latency, and accuracy land
+	// deterministic pseudo-crowd (PairScore); faulty backends ("drop=",
+	// "fault=" options) go through the chaos and retry machinery, on
+	// the wall clock, so their injected latency is real. Per-backend spend, latency, and accuracy land
 	// in the Obs recorder's market/* and crowd/backend/* metrics.
 	Fleet string
 	// FleetBudget caps total marketplace spend in cents; 0 or negative

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -149,20 +150,14 @@ func TestOpenRecoversJournal(t *testing.T) {
 	}
 }
 
-// TestDegradedCrowd: a server whose resolve path goes through the
-// simulated degraded crowd still resolves (slower, deterministically),
-// and the fallback answers agree with the primary path.
+// TestDegradedCrowd: a server whose resolve path goes through a
+// one-backend fleet with injected latency, drops and transient errors
+// still resolves (slower, deterministically), and the fallback answers
+// agree with the primary path.
 func TestDegradedCrowd(t *testing.T) {
 	l, err := StartLocal(Config{
-		Seed: 7,
-		Source: DegradedCrowd(SimCrowdConfig{
-			Seed:        7,
-			BaseLatency: 50 * time.Microsecond,
-			Spike:       0.1,
-			Drop:        0.2,
-			Error:       0.1,
-			Timeout:     5 * time.Millisecond,
-		}),
+		Seed:  7,
+		Fleet: "crowd:2:20:0:lat=50us:drop=0.3:fault=0.1:timeout=5ms:workers=3",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +176,54 @@ func TestDegradedCrowd(t *testing.T) {
 	}
 	if code, m := call(t, http.MethodGet, l.URL+"/clusters", ""); code != http.StatusOK || m["round"].(float64) != 1 {
 		t.Fatalf("GET /clusters: %d %v", code, m)
+	}
+}
+
+// TestResolveCancelledMidBatchFleet: a client that abandons POST
+// /resolve while a slow fleet backend is answering the first HIT stops
+// the pass at once — the request context reaches the backend through
+// the marketplace — so the write barrier is released long before the
+// HIT would finish, and the aborted pass leaves round 0 behind.
+func TestResolveCancelledMidBatchFleet(t *testing.T) {
+	const perAnswer = 100 * time.Millisecond
+	l, err := StartLocal(Config{
+		Seed:  7,
+		Fleet: fmt.Sprintf("crowd:2:20:0:lat=%v:drop=0.01:timeout=2s:workers=3", perAnswer),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// Twenty near-identical records: the first HIT holds the first
+	// pivot's 19 neighbours, about two seconds of answers.
+	var texts []string
+	for i := 0; i < 20; i++ {
+		texts = append(texts, fmt.Sprintf("golden dragon palace chinese broadway w%d", i))
+	}
+	if code, m := call(t, http.MethodPost, l.URL+"/records", recordsBody(texts...)); code != http.StatusOK {
+		t.Fatalf("POST /records: %d %v", code, m)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.URL+"/resolve", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("abandoned POST /resolve answered %d", resp.StatusCode)
+	}
+	// The next write waits for the resolve's barrier.
+	start := time.Now()
+	if code, m := call(t, http.MethodPost, l.URL+"/records", recordsBody("harbor seafood grill market st")); code != http.StatusOK {
+		t.Fatalf("POST /records after cancel: %d %v", code, m)
+	}
+	if waited, full := time.Since(start), 19*perAnswer; waited > full/2 {
+		t.Errorf("write waited %v behind the abandoned resolve; its first HIT alone takes %v", waited, full)
+	}
+	if code, m := call(t, http.MethodGet, l.URL+"/clusters", ""); code != http.StatusOK || m["round"].(float64) != 0 {
+		t.Fatalf("GET /clusters after the aborted pass: %d %v", code, m)
 	}
 }
 
